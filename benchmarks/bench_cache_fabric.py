@@ -1,7 +1,7 @@
 """Cache-fabric benchmark: sharding, replication and pipelining, end to end.
 
 ``bench_cache_server.py`` proves one cache server pools memo work across a
-fleet.  This benchmark measures what the PR-6 *fabric* adds on top:
+fleet.  This benchmark measures what the sharded *fabric* adds on top:
 
 1. **topology never changes results** — the repeated-query workload (the
    streaming-audit chain re-audited hop by hop) runs against in-process
@@ -13,17 +13,13 @@ fleet.  This benchmark measures what the PR-6 *fabric* adds on top:
    are served off successors instead of being recomputed;
 3. **pipelining ends the round-trip-at-a-time floor** — a client-level
    microbenchmark resolves the same lookups two ways: a strictly
-   request/response GET loop on one socket (the PR-4 client's behaviour,
+   request/response GET loop on one socket (a blocking client's behaviour,
    decode included) versus the fabric client's ``get_many`` (one pipelined
    ``MGET`` per shard, fanned out before any is collected — the path the
    search layer's round prefetch takes).  The report carries the speedup;
    on loopback it is bounded by parse/decode overlap, on a real network it
    grows with round-trip latency (K serial RTTs versus one overlapped one);
-4. **the asyncio transport carries concurrency** — 64 concurrent client
-   connections drive identical traffic against a threaded ``CacheServer``
-   and an ``AsyncCacheServer``; the event loop must match or beat the
-   thread-per-connection transport's throughput;
-5. **membership is elastic** — one engine arm runs against a fleet that
+4. **membership is elastic** — one engine arm runs against a fleet that
    *grows by one member and loses another mid-run* (``fleet_join`` then
    ``fleet_leave`` while the spawned engine is searching); its rankings
    must still be byte-identical to the serial reference.
@@ -37,8 +33,6 @@ Contract points, recorded in the JSON report (``BENCH_cache_fabric.json``):
   join/leave arm (always enforced);
 * the pipelined client beats the serial-socket client (enforced outside
   smoke mode; warns in smoke, where timings on shared runners are noisy);
-* the asyncio server matches or beats the threaded server at 64 concurrent
-  connections (same smoke-warns / full-enforces split);
 * with replication, the degraded arm's misses stay under 10 % of the cold
   arm's (enforced outside smoke mode) and its failover count is non-zero.
 
@@ -55,7 +49,6 @@ import multiprocessing
 import socket
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -63,8 +56,6 @@ from repro.core import CharlesConfig
 from repro.cachestore import MISSING
 from repro.cacheserver import (
     AsyncCacheServer,
-    CacheServer,
-    RemoteBackend,
     ShardedRemoteBackend,
     fleet_join,
     fleet_leave,
@@ -173,9 +164,9 @@ def _run_fabric_scenario(
 
 
 def _client_microbench(shard_count: int, operations: int) -> dict:
-    """Resolve K warm lookups the PR-4 way and the fabric way, wall-clocked.
+    """Resolve K warm lookups one at a time and the fabric way, wall-clocked.
 
-    The PR-4 client was one socket, strictly request/response: K lookups cost
+    A blocking client on one socket is strictly request/response: K lookups cost
     K sequential round trips (plus a decode each).  The fabric client fans
     one pipelined ``MGET`` per shard out before collecting any, so the same
     K lookups cost one overlapped round trip per shard.  Both arms run
@@ -185,8 +176,8 @@ def _client_microbench(shard_count: int, operations: int) -> dict:
     keys = [("bench", index) for index in range(operations)]
     value = {"value": list(range(8))}
 
-    # PR-4 deployment: one server, one socket, wait for every response
-    with CacheServer() as single:
+    # blocking deployment: one server, one socket, wait for every response
+    with AsyncCacheServer() as single:
         seeder = ShardedRemoteBackend(single.url)
         for key in keys:
             seeder.put(key, value)
@@ -212,7 +203,7 @@ def _client_microbench(shard_count: int, operations: int) -> dict:
         seeder.close()
 
     # fabric deployment: N shards, one pipelined MGET per shard
-    shards = [CacheServer().start() for _ in range(shard_count)]
+    shards = [AsyncCacheServer().start() for _ in range(shard_count)]
     try:
         fabric = ShardedRemoteBackend(",".join(shard.url for shard in shards))
         for key in keys:
@@ -243,74 +234,6 @@ def _client_microbench(shard_count: int, operations: int) -> dict:
     }
 
 
-# -- the transport microbenchmark: thread-per-connection vs one event loop ------
-
-
-def _transport_microbench(connections: int, ops_per_connection: int) -> dict:
-    """The same concurrent traffic against both serving transports, wall-clocked.
-
-    ``connections`` clients connect at once (a barrier releases them together)
-    and each drives ``ops_per_connection`` put+get round trips on its own
-    socket.  The threaded server spends a thread per connection; the asyncio
-    server multiplexes every connection onto one loop.  The asyncio transport
-    earns its default-server status by matching or beating the threaded one
-    at this concurrency level.
-    """
-
-    def drive(server) -> float:
-        barrier = threading.Barrier(connections + 1)
-        errors: list[Exception] = []
-
-        def worker(worker_id: int) -> None:
-            try:
-                backend = RemoteBackend(server.url, namespace=b"c%d" % worker_id)
-                # connect (and prove liveness) before the clock starts: the
-                # arm times steady-state throughput, not the connect storm
-                if backend.get(("warm", worker_id)) is not MISSING:
-                    raise RuntimeError("unexpected hit on a cold server")
-                barrier.wait()
-                for index in range(ops_per_connection):
-                    backend.put((worker_id, index), index)
-                    if backend.get((worker_id, index)) is MISSING:
-                        raise RuntimeError("own write not visible")
-                backend.close()
-            except Exception as error:  # pragma: no cover - reporting
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=worker, args=(index,), daemon=True)
-            for index in range(connections)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        started = time.perf_counter()
-        for thread in threads:
-            thread.join(timeout=120)
-        seconds = time.perf_counter() - started
-        if errors:
-            raise RuntimeError(f"transport bench worker failed: {errors[0]!r}")
-        return seconds
-
-    with CacheServer() as threaded:
-        threaded_seconds = drive(threaded)
-    with AsyncCacheServer() as alooped:
-        async_seconds = drive(alooped)
-
-    total_ops = connections * ops_per_connection * 2
-    return {
-        "connections": connections,
-        "ops_per_connection": ops_per_connection,
-        "threaded_seconds": threaded_seconds,
-        "async_seconds": async_seconds,
-        "threaded_ops_per_second": total_ops / threaded_seconds,
-        "async_ops_per_second": total_ops / async_seconds,
-        "async_speedup": threaded_seconds / async_seconds if async_seconds > 0 else None,
-        # "matches or beats", with a 10 % grace band for scheduler noise
-        "async_matches_threaded": async_seconds <= 1.10 * threaded_seconds,
-    }
-
-
 # -- the benchmark --------------------------------------------------------------
 
 
@@ -321,12 +244,10 @@ def run_benchmark(
     shard_count: int,
     replication: int,
     operations: int,
-    connections: int,
-    ops_per_connection: int,
 ) -> dict:
     scenarios = [_run_scenario("serial", CharlesConfig(n_jobs=1), rows, versions, seed)]
 
-    with CacheServer() as single:
+    with AsyncCacheServer() as single:
         scenarios.append(
             _run_fabric_scenario(
                 "one-shard-cold", rows, versions, seed, single.url, 1
@@ -336,12 +257,11 @@ def run_benchmark(
     # the microbenches build their own servers and fleets, so they never
     # contend with the engine arms' servers for the loopback
     wire = _client_microbench(shard_count, operations)
-    transport = _transport_microbench(connections, ops_per_connection)
 
-    # a fleet that changes shape mid-run: a fresh (asyncio) member joins and
+    # a fleet that changes shape mid-run: a fresh member joins and
     # warms from its ring predecessors, then an original member leaves —
     # both while a spawned engine is searching against the fleet
-    elastic = [CacheServer().start() for _ in range(2)]
+    elastic = [AsyncCacheServer().start() for _ in range(2)]
     joiner = AsyncCacheServer().start()
     try:
         elastic_url = ",".join(member.url for member in elastic)
@@ -372,7 +292,7 @@ def run_benchmark(
         for member in elastic:
             member.shutdown()
 
-    shards = [CacheServer().start() for _ in range(shard_count)]
+    shards = [AsyncCacheServer().start() for _ in range(shard_count)]
     try:
         fleet_url = ",".join(shard.url for shard in shards)
         scenarios.append(
@@ -418,10 +338,8 @@ def run_benchmark(
             for scenario in scenarios
         ],
         "wire": wire,
-        "transport": transport,
         "pipelined_speedup": wire["pipelined_speedup"],
         "pipelined_faster_than_serial_socket": wire["pipelined_faster"],
-        "async_matches_threaded_throughput": transport["async_matches_threaded"],
         "elastic_final_epoch": elastic_final_epoch,
         "elastic_misses": by_name["fleet-elastic"]["misses"],
         "elastic_failovers": by_name["fleet-elastic"]["failovers"],
@@ -454,10 +372,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="replica copies per entry (>= 2 makes shard death free)")
     parser.add_argument("--operations", type=int, default=400,
                         help="GET count for the wire microbenchmark")
-    parser.add_argument("--connections", type=int, default=64,
-                        help="concurrent connections for the transport microbenchmark")
-    parser.add_argument("--ops-per-connection", type=int, default=30,
-                        help="put+get cycles per connection in the transport microbenchmark")
     parser.add_argument("--smoke", action="store_true",
                         help="small fast run for CI (150 rows, 3 versions, 2 shards)")
     parser.add_argument("--output", type=Path, default=None, help="write the JSON report here")
@@ -466,14 +380,10 @@ def main(argv: list[str] | None = None) -> int:
     versions = 3 if args.smoke else args.versions
     shard_count = 2 if args.smoke else args.shards
     operations = 200 if args.smoke else args.operations
-    # the concurrency level is the point of the transport arm — smoke mode
-    # trims the per-connection work, never the connection count
-    ops_per_connection = 10 if args.smoke else args.ops_per_connection
     replication = min(args.replication, shard_count)
 
     report = run_benchmark(
-        rows, versions, args.seed, shard_count, replication, operations,
-        args.connections, ops_per_connection,
+        rows, versions, args.seed, shard_count, replication, operations
     )
     report["smoke"] = args.smoke
     text = json.dumps(_stamp(report), indent=2)
@@ -494,14 +404,6 @@ def main(argv: list[str] | None = None) -> int:
             "pipelined fabric client was not faster than the serial-socket client "
             f"({report['wire']['fabric_seconds']:.3f}s vs "
             f"{report['wire']['serial_seconds']:.3f}s over {operations} lookups)"
-        )
-        (warnings_ if args.smoke else failures).append(message)
-    if not report["async_matches_threaded_throughput"]:
-        message = (
-            "asyncio server fell behind the threaded server at "
-            f"{report['transport']['connections']} connections "
-            f"({report['transport']['async_seconds']:.3f}s vs "
-            f"{report['transport']['threaded_seconds']:.3f}s)"
         )
         (warnings_ if args.smoke else failures).append(message)
     if not report["degraded_served_off_replicas"]:

@@ -1,7 +1,7 @@
 """The sharded cache fabric: N cache servers behind one ``CacheBackend``.
 
-A :class:`ShardedRemoteBackend` takes the PR-4 single-server client and
-scales it out: a comma-separated ``cache_url`` becomes a
+A :class:`ShardedRemoteBackend` spreads one region over a fleet of cache
+servers: a comma-separated ``cache_url`` (one endpoint or many) becomes a
 :class:`~repro.cacheserver.ring.HashRing` over N endpoints, each endpoint a
 :class:`~repro.cacheserver.client.ShardClient` with its own pipelined
 connection and its own degrade/backoff state.  To the search layer nothing

@@ -1,23 +1,19 @@
 """The cache service: one process holding the memo regions for a whole fleet.
 
-Two transports speak the same protocol over the same server core:
+:class:`AsyncCacheServer` hosts the two memo regions every search carries
+(``fits`` and ``partitions``), each an
+:class:`~repro.cachestore.memory.InProcessBackend` behind the same
+:class:`~repro.cachestore.base.CacheBackend` interface the rest of the
+cachestore uses — the server is just another place entries live, reached
+through :mod:`repro.cacheserver.protocol` frames instead of a function call.
+Entries are opaque ``digest → bytes`` pairs: clients digest and pickle on
+their side, so the server never deserialises anything it is sent.
 
-* :class:`CacheServer` (this module) — the original thread-per-connection
-  TCP server, one handler thread per live client;
-* :class:`~repro.cacheserver.aserver.AsyncCacheServer` — one ``asyncio``
-  event loop multiplexing every connection (the default under
-  ``charles cache-server``), lifting the per-connection thread cost for
-  large fleets.
-
-Everything request-shaped lives in :class:`CacheServerCore`, which both
-transports share: the two memo regions every search carries (``fits`` and
-``partitions``), each an :class:`~repro.cachestore.memory.InProcessBackend`
-behind the same :class:`~repro.cachestore.base.CacheBackend` interface the
-rest of the cachestore uses — the server is just another place entries
-live, reached through :mod:`repro.cacheserver.protocol` frames instead of a
-function call.  Entries are opaque ``digest → bytes`` pairs: clients digest
-and pickle on their side, so the server never deserialises anything it is
-sent.
+Every connection is multiplexed on one ``asyncio`` event loop.  A fleet of
+engines each holding a few pipelined connections per shard puts
+*connections*, not CPU, on the server: request handling is dict lookups, so
+an idle connection costs one reader coroutine parked on the loop, and a
+response burst is one ``write`` of the joined frames.
 
 Because all regions live in one process, the server is also where eviction
 policy earns its keep: by default each region is bounded with a
@@ -49,20 +45,24 @@ Operational surface:
   prior member (via ``HANDOFF``) for the entries whose arcs it now owns, so
   a grown fleet starts warm instead of cold.  A leaving member needs no
   transfer — its keys fail over around the ring exactly as a shard death
-  does, and with replication ≥ 2 the old successors already hold them;
-* graceful shutdown: :meth:`CacheServer.shutdown` stops accepting, unblocks
-  :meth:`serve_forever`, closes the listening socket and tears down every
-  live client connection, so a stopped server immediately looks *down* to
-  its fleet (clients degrade to misses) instead of leaving them parked;
-* one lock per region: request handling serialises on the touched region
-  only, so ``fits`` traffic never waits on ``partitions`` traffic.
+  does, and with replication ≥ 2 the old successors already hold them.
+  The warm-up does blocking socket I/O, so ``JOIN``/``LEAVE`` are handled
+  on a worker thread while the loop keeps serving every other verb; the
+  connection still answers its frames in arrival order;
+* graceful shutdown: :meth:`AsyncCacheServer.shutdown` stops the loop,
+  closes the listening socket and tears down every live client connection,
+  so a stopped server immediately looks *down* to its fleet (clients degrade
+  to misses) instead of leaving them parked;
+* one lock per region: the membership worker thread and the loop serialise
+  on the touched region only, so ``fits`` traffic never waits on
+  ``partitions`` traffic.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
-import socketserver
 import threading
 import time
 from collections import deque
@@ -72,13 +72,12 @@ from repro.cachestore.memory import InProcessBackend
 from repro.cachestore.policy import make_policy
 from repro.cacheserver import protocol
 from repro.cacheserver.ring import HashRing
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CacheStoreError, ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import SPAN_ID_BYTES, TRACE_ID_BYTES, Span, new_span_id
 
 __all__ = [
-    "CacheServer",
-    "CacheServerCore",
+    "AsyncCacheServer",
     "DEFAULT_PORT",
     "MAX_BUFFERED_SPANS",
     "MAX_HANDOFF_BYTES",
@@ -97,19 +96,30 @@ MAX_HANDOFF_BYTES = 32 * 1024 * 1024
 
 _ZERO_PARENT = b"\x00" * SPAN_ID_BYTES
 
+#: verbs whose handling may block on network I/O (membership warm-up); they
+#: run on a worker thread so the event loop keeps serving other connections
+_BLOCKING_VERBS = frozenset({protocol.JOIN, protocol.LEAVE})
 
-class CacheServerCore:
-    """Transport-independent cache-server state and request handling.
 
-    Hosts the regions, locks, metrics, span buffer and fleet-topology state;
-    :meth:`dispatch` turns one decoded request body into one response body.
-    Subclasses provide the wire: accepting connections, draining frames,
-    calling :meth:`dispatch` per message and writing coalesced response
-    bursts — see :class:`CacheServer` (threads) and
-    :class:`~repro.cacheserver.aserver.AsyncCacheServer` (asyncio).
+class AsyncCacheServer:
+    """A fleet-shared cache service, every connection on one event loop.
+
+    ``port=0`` binds an ephemeral port (read it back from :attr:`address` /
+    :attr:`url`); ``capacity`` bounds each region's entry count with the named
+    eviction ``policy`` (one of :data:`~repro.cachestore.policy.POLICY_CHOICES`,
+    cost-aware by default).  Use as a context manager, or pair
+    :meth:`start`/:meth:`serve_forever` with :meth:`shutdown`.  The listening
+    socket is bound in the constructor, so :attr:`url` is valid before the
+    loop runs.
     """
 
-    def __init__(self, capacity: int | None = None, policy: str = "cost-aware") -> None:
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        capacity: int | None = None,
+        policy: str = "cost-aware",
+    ) -> None:
         if capacity is not None and capacity < 1:
             # ConfigurationError, not ValueError: the CLI turns it into a
             # clean `error: ...` + exit 2 like every other bad flag
@@ -168,37 +178,32 @@ class CacheServerCore:
         self._topology_epoch_gauge = self._metrics.gauge(
             "cacheserver_topology_epoch", "Fleet topology epoch (0 = none configured)"
         )
-        self._connections: set = set()
-        self._connections_lock = threading.Lock()
-
-    # -- identity (provided by the transport) -----------------------------------
+        # bind synchronously so .address/.url work before the loop exists
+        self._sock = socket.create_server((host, port))
+        self._address = self._sock.getsockname()[:2]
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop: asyncio.Event | None = None
+        self._ready = threading.Event()
+        self._listening = False
+        self._thread: threading.Thread | None = None
+        self._conn_tasks: set = set()
+        self._closed = False
 
     @property
-    def address(self) -> tuple[str, int]:  # pragma: no cover - transport provides
-        raise NotImplementedError
+    def address(self) -> tuple[str, int]:
+        """The ``(host, port)`` the server is listening on."""
+        return self._address
 
     @property
     def url(self) -> str:
         """The ``host:port`` string clients pass as ``cache_url``."""
-        host, port = self.address
+        host, port = self._address
         return f"{host}:{port}"
-
-    # -- connection tracking -----------------------------------------------------
-
-    def _track(self, connection) -> None:
-        with self._connections_lock:
-            self._connections.add(connection)
-            self._inflight.set(len(self._connections))
-
-    def _untrack(self, connection) -> None:
-        with self._connections_lock:
-            self._connections.discard(connection)
-            self._inflight.set(len(self._connections))
 
     # -- request handling --------------------------------------------------------
 
     def dispatch(self, body: bytes) -> bytes:
-        """The response body for one request body (used by the transports).
+        """The response body for one request body.
 
         All observability happens here, around :meth:`_handle`: the per-verb
         request counter and latency histogram always run (they are two dict
@@ -591,153 +596,158 @@ class CacheServerCore:
         self._topology_epoch_gauge.set(self._topology_epoch)
         return self._metrics.render()
 
+    # -- the event loop ----------------------------------------------------------
 
-class _Handler(socketserver.BaseRequestHandler):
-    """One client connection: request messages answered in arrival order.
+    async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        server = await asyncio.start_server(self._serve_connection, sock=self._sock)
+        self._listening = True
+        self._ready.set()
+        try:
+            await self._stop.wait()
+        finally:
+            # accept nothing more, and let connections already accepted reach
+            # their handler first: closing the server under an accept still
+            # in flight would leak that connection's socket
+            self._loop.remove_reader(self._sock)
+            while len(asyncio.all_tasks()) > len(self._conn_tasks) + 1:
+                await asyncio.sleep(0)
+            server.close()
+            # tear down live connections so a stopped server immediately
+            # looks *down* to its fleet
+            for task in list(self._conn_tasks):
+                task.cancel()
+            if self._conn_tasks:
+                await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+            await server.wait_closed()
 
-    A pipelined client may queue many frames before reading anything back;
-    handling them sequentially per connection (responses echo the request id)
-    is what gives that client read-your-writes on its own traffic.
-
-    Reads and writes are *coalesced*: every complete request buffered at wake
-    time is dispatched, and all their responses go out in one ``sendall``.
-    A burst of fire-and-forget PUTs from a pipelined client thus costs the
-    connection a handful of syscalls instead of two per entry — and on the
-    client side, the reader drains the burst's acknowledgements as one chunk
-    instead of being woken per frame.
-    """
-
-    def setup(self) -> None:
-        self.server.cache_server._track(self.request)  # type: ignore[attr-defined]
-
-    def finish(self) -> None:
-        self.server.cache_server._untrack(self.request)  # type: ignore[attr-defined]
-
-    def handle(self) -> None:
-        server: CacheServer = self.server.cache_server  # type: ignore[attr-defined]
-        sock = self.request
-        buffer = bytearray()
-        while True:
-            try:
-                chunk = sock.recv(1 << 16)
-            except OSError:
-                return
-            if not chunk:
-                return  # clean EOF (mid-frame leftovers are the peer's bug)
-            buffer += chunk
-            try:
-                frames = protocol.drain_frames(buffer)
-            except protocol.ProtocolError:
-                return  # corrupt length prefix: framing is lost, drop the peer
-            responses: list[bytes] = []
-            for frame in frames:
-                try:
-                    request_id, body = protocol.parse_message(frame)
-                except protocol.ProtocolError:
-                    return  # unframeable peer: drop the connection, not the server
-                try:
-                    response = server.dispatch(body)
-                except protocol.ProtocolError as error:
-                    response = protocol.encode_response(
-                        protocol.ERROR, str(error).encode("utf-8")
-                    )
-                # echo the id: a pipelined client pairs responses up by it
-                responses.append(protocol.frame_message(request_id, response))
-            if responses:
-                try:
-                    sock.sendall(b"".join(responses))
-                except OSError:
-                    return
-
-
-class _ThreadingServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    # the socketserver default backlog of 5 refuses connections outright when
-    # a fleet's worth of clients connect at once; match the asyncio server's
-    # listen depth so a connect storm queues instead of degrading clients
-    request_queue_size = 128
-
-
-class CacheServer(CacheServerCore):
-    """A fleet-shared cache service, one handler thread per connection.
-
-    ``port=0`` binds an ephemeral port (read it back from :attr:`address` /
-    :attr:`url`); ``capacity`` bounds each region's entry count with the named
-    eviction ``policy`` (one of :data:`~repro.cachestore.policy.POLICY_CHOICES`,
-    cost-aware by default).  Use as a context manager, or pair
-    :meth:`start`/:meth:`serve_forever` with :meth:`shutdown`.
-
-    For fleets with many clients prefer
-    :class:`~repro.cacheserver.aserver.AsyncCacheServer`, which serves every
-    connection off one event loop (the same verbs, byte-identical on the
-    wire) instead of paying one OS thread per connection.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        capacity: int | None = None,
-        policy: str = "cost-aware",
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        super().__init__(capacity=capacity, policy=policy)
-        self._tcp = _ThreadingServer((host, port), _Handler)
-        self._tcp.cache_server = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-        self._serve_requested = False
+        """One client connection: request frames answered in arrival order.
 
-    # -- lifecycle -------------------------------------------------------------
+        A pipelined client may queue many frames before reading anything
+        back; handling them sequentially per connection (responses echo the
+        request id) is what gives that client read-your-writes on its own
+        traffic.  Reads and writes are *coalesced*: every complete frame
+        buffered at wake time is dispatched, and all their responses go out
+        in one write — a pipelined client's burst of PUTs costs a handful of
+        syscalls, not two per entry.
+        """
+        task = asyncio.current_task()
+        self._conn_tasks.add(task)
+        self._inflight.set(len(self._conn_tasks))
+        buffer = bytearray()
+        try:
+            while True:
+                chunk = await reader.read(1 << 16)
+                if not chunk:
+                    return  # clean EOF (mid-frame leftovers are the peer's bug)
+                buffer += chunk
+                try:
+                    frames = protocol.drain_frames(buffer)
+                except protocol.ProtocolError:
+                    return  # corrupt length prefix: framing is lost, drop the peer
+                responses: list[bytes] = []
+                for frame in frames:
+                    try:
+                        request_id, body = protocol.parse_message(frame)
+                    except protocol.ProtocolError:
+                        return  # unframeable peer: drop the connection, not the server
+                    response = await self._dispatch_frame(body)
+                    # echo the id: a pipelined client pairs responses up by it
+                    responses.append(protocol.frame_message(request_id, response))
+                if responses:
+                    writer.write(b"".join(responses))
+                    await writer.drain()
+        except OSError:
+            return  # the peer reset or vanished: drop the connection
+        except asyncio.CancelledError:
+            return  # server shutdown: connections die with it
+        finally:
+            self._conn_tasks.discard(task)
+            self._inflight.set(len(self._conn_tasks))
+            try:
+                writer.close()
+            except Exception:  # pragma: no cover - best-effort teardown
+                pass
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """The ``(host, port)`` the server is listening on."""
-        host, port = self._tcp.server_address[:2]
-        return host, port
+    async def _dispatch_frame(self, body: bytes) -> bytes:
+        verb = (body[0] & ~protocol.TRACE_FLAG) if body else None
+        try:
+            if verb in _BLOCKING_VERBS:
+                # membership warm-up does synchronous socket I/O; keep the
+                # loop serving other connections while it runs
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, self.dispatch, body
+                )
+            return self.dispatch(body)
+        except protocol.ProtocolError as error:
+            return protocol.encode_response(protocol.ERROR, str(error).encode("utf-8"))
+
+    # -- lifecycle ---------------------------------------------------------------
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown` is called."""
-        self._serve_requested = True
-        self._tcp.serve_forever()
+        try:
+            asyncio.run(self._main())
+        finally:
+            # a loop that never came up must not leave start() waiting
+            self._ready.set()
 
-    def start(self) -> "CacheServer":
-        """Serve on a background thread (returns self for chaining)."""
-        self._serve_requested = True
+    def start(self) -> "AsyncCacheServer":
+        """Serve on a background thread (returns self for chaining).
+
+        Returns once the loop is accepting, so callers can connect right
+        away; raises :class:`~repro.exceptions.CacheStoreError` if it never
+        comes up (for instance on a server already shut down).
+        """
+        if self._closed:
+            raise CacheStoreError(f"cache server on {self.url} was shut down; start a new one")
+        failures: list[Exception] = []
+
+        def serve() -> None:
+            try:
+                self.serve_forever()
+            except Exception as error:
+                failures.append(error)
+
         self._thread = threading.Thread(
-            target=self._tcp.serve_forever, name="charles-cache-server", daemon=True
+            target=serve, name="charles-cache-server", daemon=True
         )
         self._thread.start()
+        self._ready.wait(timeout=10.0)
+        if not self._listening or failures:
+            self.shutdown()
+            reason = f": {failures[0]}" if failures else ""
+            raise CacheStoreError(f"cache server on {self.url} failed to start{reason}")
         return self
 
     def shutdown(self) -> None:
-        """Stop accepting, unblock ``serve_forever`` and close the socket.
+        """Stop the loop, tear down connections and close the socket.
 
         Idempotent; entries are process-local, so they die with the server —
         clients degrade to misses and recompute, never to wrong results.
         """
-        if self._serve_requested:
-            # BaseServer.shutdown blocks until a serve loop has run and
-            # exited, so it must only be called once one was requested
-            self._tcp.shutdown()
-        self._tcp.server_close()
-        with self._connections_lock:
-            open_connections = list(self._connections)
-        for connection in open_connections:
-            # unblock handler threads parked in recv: a down server must look
-            # down to its clients, which then degrade to misses and reconnect
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
+        if self._closed:
+            return
+        self._closed = True
+        if self._listening and self._loop is not None:
+            loop, stop = self._loop, self._stop
+            if stop is not None and not loop.is_closed():
+                try:
+                    loop.call_soon_threadsafe(stop.set)
+                except RuntimeError:  # pragma: no cover - loop already gone
+                    pass
+        else:
+            # never served: just release the listening socket
+            self._sock.close()
         if self._thread is not None:
-            self._thread.join(timeout=5.0)
+            self._thread.join(timeout=10.0)
             self._thread = None
 
-    def __enter__(self) -> "CacheServer":
+    def __enter__(self) -> "AsyncCacheServer":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:

@@ -24,9 +24,10 @@ small hierarchy behind one ABC:
   with transactional writes, so warm starts survive interpreter restarts.
 * :class:`~repro.cachestore.tiered.TieredBackend` — a private in-process L1
   composed over a shared/disk L2: local speed, shared truth.
-* :class:`~repro.cacheserver.client.RemoteBackend` (in the sibling
+* :class:`~repro.cacheserver.fabric.ShardedRemoteBackend` (in the sibling
   :mod:`repro.cacheserver` package) — one region of a fleet-shared cache
-  *service*, so engines on different machines pool their work.
+  *service* of one or more servers, so engines on different machines pool
+  their work.
 
 Eviction order is itself pluggable (:mod:`repro.cachestore.policy`): the
 in-process store takes any :class:`~repro.cachestore.policy.EvictionPolicy`

@@ -8,8 +8,7 @@ summaries (Fig. 4).  The ``charles`` command exposes the same workflow:
 * ``charles summarize`` — steps 1–10: ranked summaries, optionally with the
   model tree / treemap details or a full markdown report.
 * ``charles plan``      — the dry run: plan size, per-round spec counts and
-  score-bound histograms for a summarize run, without evaluating anything
-  (also available as ``charles summarize --plan-only``).
+  score-bound histograms for a summarize run, without evaluating anything.
 * ``charles diff``      — the syntactic view: cell diff, update distance and
   distribution drift.
 * ``charles timeline``  — the incremental view: summarize every hop of a chain
@@ -79,28 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     summarize = subparsers.add_parser("summarize", help="rank change summaries for a target attribute")
     _add_pair_arguments(summarize)
-    summarize.add_argument("--target", required=True, help="numeric attribute to explain")
-    summarize.add_argument("--alpha", type=float, default=0.5, help="accuracy weight (default 0.5)")
-    summarize.add_argument("--max-condition-attributes", "-c", type=int, default=3)
-    summarize.add_argument("--max-transformation-attributes", "-t", type=int, default=2)
-    summarize.add_argument("--top", type=int, default=10, help="number of summaries to show")
-    summarize.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for the candidate search (1 = serial)")
-    summarize.add_argument("--cache-capacity", type=int, default=None,
-                           help="max entries per memo cache, evicting beyond it "
-                                "(default unbounded)")
-    _add_cache_arguments(summarize)
-    _add_planning_arguments(summarize)
-    summarize.add_argument("--condition-attributes", nargs="*", default=None)
-    summarize.add_argument("--transformation-attributes", nargs="*", default=None)
-    summarize.add_argument("--plan-only", action="store_true",
-                           help="print the search plan (size, rounds, bound histograms) "
-                                "and exit without evaluating")
+    _add_search_arguments(summarize, execute=True)
     summarize.add_argument("--details", action="store_true", help="show tree and treemap for the best summary")
     summarize.add_argument("--sql", action="store_true",
                            help="print the best summary as a SQL UPDATE statement")
     summarize.add_argument("--markdown", type=Path, default=None, help="write a full markdown report here")
-    _add_observability_arguments(summarize)
 
     suggest = subparsers.add_parser("suggest", help="show the setup assistant's attribute shortlists")
     _add_pair_arguments(suggest)
@@ -112,14 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
              "score-bound histograms, nothing evaluated",
     )
     _add_pair_arguments(plan)
-    plan.add_argument("--target", required=True, help="numeric attribute to explain")
-    plan.add_argument("--alpha", type=float, default=0.5, help="accuracy weight (default 0.5)")
-    plan.add_argument("--max-condition-attributes", "-c", type=int, default=3)
-    plan.add_argument("--max-transformation-attributes", "-t", type=int, default=2)
-    plan.add_argument("--top", type=int, default=10, help="top-k the planned run would keep")
-    _add_planning_arguments(plan)
-    plan.add_argument("--condition-attributes", nargs="*", default=None)
-    plan.add_argument("--transformation-attributes", nargs="*", default=None)
+    _add_search_arguments(plan, execute=False)
 
     diff = subparsers.add_parser("diff", help="syntactic diff: cells, update distance, drift")
     _add_pair_arguments(diff)
@@ -131,26 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeline.add_argument("versions", nargs="+", type=Path,
                           help="two or more snapshot CSVs, oldest first")
-    timeline.add_argument("--target", required=True, help="numeric attribute to explain")
     timeline.add_argument("--key", default=None, help="entity-identifying column")
-    timeline.add_argument("--alpha", type=float, default=0.5, help="accuracy weight (default 0.5)")
-    timeline.add_argument("--max-condition-attributes", "-c", type=int, default=3)
-    timeline.add_argument("--max-transformation-attributes", "-t", type=int, default=2)
-    timeline.add_argument("--top", type=int, default=10, help="ranked summaries kept per hop")
+    _add_search_arguments(timeline, execute=True)
     timeline.add_argument("--limit", type=int, default=1, help="summaries shown per hop")
     timeline.add_argument("--window", type=int, default=1,
                           help="compare each version with the one this many steps later")
-    timeline.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for the candidate search (1 = serial)")
-    timeline.add_argument("--cache-capacity", type=int, default=None,
-                          help="LRU capacity of each session memo cache (default unbounded)")
-    _add_cache_arguments(timeline)
-    _add_planning_arguments(timeline)
     timeline.add_argument("--cold", action="store_true",
                           help="run every hop with a fresh cold engine (baseline for comparison)")
-    timeline.add_argument("--condition-attributes", nargs="*", default=None)
-    timeline.add_argument("--transformation-attributes", nargs="*", default=None)
-    _add_observability_arguments(timeline)
 
     trace = subparsers.add_parser(
         "trace", help="analyse a JSONL trace file recorded with --trace"
@@ -176,17 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cache-server",
         help="host the fleet cache service engines reach with --cache-backend remote",
     )
-    transport = server.add_mutually_exclusive_group()
-    transport.add_argument("--async", dest="transport", action="store_const",
-                           const="async",
-                           help="serve every connection on one asyncio event loop "
-                                "(the default: large fleets cost coroutines, "
-                                "not threads)")
-    transport.add_argument("--threaded", dest="transport", action="store_const",
-                           const="threaded",
-                           help="serve with one thread per connection (the "
-                                "pre-elastic transport; byte-identical on the wire)")
-    server.set_defaults(transport="async")
     server.add_argument("--host", default="127.0.0.1",
                         help="interface to listen on (default 127.0.0.1; use 0.0.0.0 "
                              "only on a trusted network — values travel pickled)")
@@ -265,7 +216,21 @@ def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--key", default=None, help="entity-identifying column")
 
 
-def _add_planning_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_search_arguments(parser: argparse.ArgumentParser, execute: bool) -> None:
+    """The search flags ``summarize``, ``plan`` and ``timeline`` share.
+
+    ``execute`` adds what only a command that runs the search needs: worker
+    processes, the memo-cache store and the trace/stats outputs.  Read them
+    back with :func:`_search_config`.
+    """
+    parser.add_argument("--target", required=True, help="numeric attribute to explain")
+    parser.add_argument("--alpha", type=float, default=0.5, help="accuracy weight (default 0.5)")
+    parser.add_argument("--max-condition-attributes", "-c", type=int, default=3)
+    parser.add_argument("--max-transformation-attributes", "-t", type=int, default=2)
+    parser.add_argument("--top", type=int, default=10,
+                        help="ranked summaries to keep (per hop for a timeline)")
+    parser.add_argument("--condition-attributes", nargs="*", default=None)
+    parser.add_argument("--transformation-attributes", nargs="*", default=None)
     parser.add_argument("--no-bound-pruning", action="store_true",
                         help="disable pre-discovery score-bound pruning and "
                              "bound-ordered scheduling (rankings are identical "
@@ -274,9 +239,14 @@ def _add_planning_arguments(parser: argparse.ArgumentParser) -> None:
                         help="disable the learned cost model that packs worker "
                              "chunks and prefetch batches (rankings are "
                              "identical either way)")
-
-
-def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
+    if not execute:
+        return
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for the candidate search (1 = serial)")
+    parser.add_argument("--cache-capacity", type=int, default=None,
+                        help="max entries per memo cache, evicting beyond it "
+                             "(default unbounded)")
+    _add_cache_arguments(parser)
     parser.add_argument("--trace", type=Path, default=None,
                         help="record a JSONL trace of the run here (spans for "
                              "rounds, partition discovery, fits, cache traffic "
@@ -305,6 +275,32 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
                         help="shards storing each entry when --cache-url lists "
                              "several endpoints; at 2+ reads fail over around "
                              "the ring when a shard dies (default 1)")
+
+
+def _search_config(args: argparse.Namespace, **fields) -> CharlesConfig:
+    """The :class:`CharlesConfig` the :func:`_add_search_arguments` flags describe.
+
+    ``fields`` sets anything a command adds on top (``timeline --cold``).
+    """
+    if "jobs" in vars(args):  # added with execute=True
+        fields.update(
+            n_jobs=args.jobs,
+            search_cache_capacity=args.cache_capacity,
+            cache_backend=args.cache_backend,
+            cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
+            cache_url=args.cache_url,
+            cache_replication=args.cache_replication,
+            trace_path=str(args.trace) if args.trace is not None else None,
+        )
+    return CharlesConfig(
+        alpha=args.alpha,
+        max_condition_attributes=args.max_condition_attributes,
+        max_transformation_attributes=args.max_transformation_attributes,
+        top_k=args.top,
+        bound_pruning=not args.no_bound_pruning,
+        cost_routing=not args.no_cost_routing,
+        **fields,
+    )
 
 
 def _begin_tracing(args: argparse.Namespace) -> None:
@@ -337,25 +333,36 @@ def _collect_server_spans(cache_url: str | None) -> None:
             continue
 
 
-def _write_stats_json(
-    path: Path,
-    command: str,
-    target: str,
+def _finish_run(
+    args: argparse.Namespace,
     config: CharlesConfig,
-    wall_seconds: float,
-    stats,
-    extra: dict | None = None,
+    started: float,
+    stats=None,
+    hop_stats: list[tuple[str, str, object]] | None = None,
 ) -> None:
+    """Collect the shards' spans (``--trace``) and write ``--stats-json``."""
+    wall_seconds = time.perf_counter() - started
+    if args.trace is not None:
+        _collect_server_spans(args.cache_url)
+    if args.stats_json is None:
+        return
     payload = {
-        "command": command,
-        "target": target,
+        "command": args.command,
+        "target": args.target,
         "config_fingerprint": config.cache_fingerprint().hex(),
         "wall_time_seconds": wall_seconds,
         "stats": stats.as_dict() if stats is not None else None,
     }
-    if extra:
-        payload.update(extra)
-    path.write_text(
+    if hop_stats is not None:
+        payload["hops"] = [
+            {
+                "source": source,
+                "version": version,
+                "stats": hop.as_dict() if hop is not None else None,
+            }
+            for source, version, hop in hop_stats
+        ]
+    args.stats_json.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
@@ -383,16 +390,8 @@ def _render_plan(plan, index) -> str:
 
 
 def _command_plan(args: argparse.Namespace) -> int:
-    config = CharlesConfig(
-        alpha=args.alpha,
-        max_condition_attributes=args.max_condition_attributes,
-        max_transformation_attributes=args.max_transformation_attributes,
-        top_k=args.top,
-        bound_pruning=not args.no_bound_pruning,
-        cost_routing=not args.no_cost_routing,
-    )
     pair = _load_pair(args)
-    plan, index = Charles(config).plan_pair(
+    plan, index = Charles(_search_config(args)).plan_pair(
         pair,
         args.target,
         condition_attributes=args.condition_attributes,
@@ -403,31 +402,8 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 
 def _command_summarize(args: argparse.Namespace) -> int:
-    config = CharlesConfig(
-        alpha=args.alpha,
-        max_condition_attributes=args.max_condition_attributes,
-        max_transformation_attributes=args.max_transformation_attributes,
-        top_k=args.top,
-        n_jobs=args.jobs,
-        search_cache_capacity=args.cache_capacity,
-        cache_backend=args.cache_backend,
-        cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
-        cache_url=args.cache_url,
-        cache_replication=args.cache_replication,
-        bound_pruning=not args.no_bound_pruning,
-        cost_routing=not args.no_cost_routing,
-        trace_path=str(args.trace) if args.trace is not None else None,
-    )
+    config = _search_config(args)
     pair = _load_pair(args)
-    if args.plan_only:
-        plan, index = Charles(config).plan_pair(
-            pair,
-            args.target,
-            condition_attributes=args.condition_attributes,
-            transformation_attributes=args.transformation_attributes,
-        )
-        print(_render_plan(plan, index))
-        return 0
     _begin_tracing(args)
     started = time.perf_counter()
     result = Charles(config).summarize_pair(
@@ -436,18 +412,7 @@ def _command_summarize(args: argparse.Namespace) -> int:
         condition_attributes=args.condition_attributes,
         transformation_attributes=args.transformation_attributes,
     )
-    wall_seconds = time.perf_counter() - started
-    if args.trace is not None:
-        _collect_server_spans(args.cache_url)
-    if args.stats_json is not None:
-        _write_stats_json(
-            args.stats_json,
-            "summarize",
-            args.target,
-            config,
-            wall_seconds,
-            result.search_stats,
-        )
+    _finish_run(args, config, started, stats=result.search_stats)
     print(result.describe())
     if result.search_stats is not None:
         print(f"search: {result.search_stats.describe()}")
@@ -488,22 +453,7 @@ def _command_timeline(args: argparse.Namespace) -> int:
     if len(args.versions) < 2:
         print("error: a timeline needs at least two snapshot CSVs", file=sys.stderr)
         return 2
-    config = CharlesConfig(
-        alpha=args.alpha,
-        max_condition_attributes=args.max_condition_attributes,
-        max_transformation_attributes=args.max_transformation_attributes,
-        top_k=args.top,
-        n_jobs=args.jobs,
-        search_cache_capacity=args.cache_capacity,
-        cache_backend=args.cache_backend,
-        cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
-        cache_url=args.cache_url,
-        cache_replication=args.cache_replication,
-        bound_pruning=not args.no_bound_pruning,
-        cost_routing=not args.no_cost_routing,
-        warm_start=not args.cold,
-        trace_path=str(args.trace) if args.trace is not None else None,
-    )
+    config = _search_config(args, warm_start=not args.cold)
     store = TimelineStore(key=args.key)
     for path in args.versions:
         store.append(path.stem, read_csv(path, primary_key=args.key))
@@ -517,9 +467,9 @@ def _command_timeline(args: argparse.Namespace) -> int:
 
     _begin_tracing(args)
     started = time.perf_counter()
+    hop_stats = []
     if args.cold:
         # per-hop cold baseline: fresh engine (and caches) for every hop
-        hop_stats = []
         for source, target_version, pair in store.windowed_pairs(args.window):
             result = Charles(config).summarize_pair(
                 pair,
@@ -533,57 +483,24 @@ def _command_timeline(args: argparse.Namespace) -> int:
             if result.search_stats is not None:
                 print(f"search: {result.search_stats.describe()}")
             print()
-        if args.trace is not None:
-            _collect_server_spans(args.cache_url)
-        if args.stats_json is not None:
-            _write_timeline_stats(args, config, time.perf_counter() - started, hop_stats)
-        return 0
-
-    with EngineSession(config) as session:
-        timeline_result = session.summarize_timeline(
-            store,
-            args.target,
-            condition_attributes=args.condition_attributes,
-            transformation_attributes=args.transformation_attributes,
-            window=args.window,
-        )
-        print(timeline_result.describe(limit=args.limit))
-        if session.warm_start_fallbacks:
-            print(f"warm-start fallbacks: {session.warm_start_fallbacks}")
-    if args.trace is not None:
-        _collect_server_spans(args.cache_url)
-    if args.stats_json is not None:
+    else:
+        with EngineSession(config) as session:
+            timeline_result = session.summarize_timeline(
+                store,
+                args.target,
+                condition_attributes=args.condition_attributes,
+                transformation_attributes=args.transformation_attributes,
+                window=args.window,
+            )
+            print(timeline_result.describe(limit=args.limit))
+            if session.warm_start_fallbacks:
+                print(f"warm-start fallbacks: {session.warm_start_fallbacks}")
         hop_stats = [
             (hop.source_version, hop.target_version, hop.stats)
             for hop in timeline_result.hops
         ]
-        _write_timeline_stats(args, config, time.perf_counter() - started, hop_stats)
+    _finish_run(args, config, started, hop_stats=hop_stats)
     return 0
-
-
-def _write_timeline_stats(
-    args: argparse.Namespace,
-    config: CharlesConfig,
-    wall_seconds: float,
-    hop_stats: list[tuple[str, str, object]],
-) -> None:
-    hops = [
-        {
-            "source": source,
-            "version": version,
-            "stats": stats.as_dict() if stats is not None else None,
-        }
-        for source, version, stats in hop_stats
-    ]
-    _write_stats_json(
-        args.stats_json,
-        "timeline",
-        args.target,
-        config,
-        wall_seconds,
-        None,
-        extra={"hops": hops},
-    )
 
 
 def _command_trace(args: argparse.Namespace) -> int:
@@ -617,11 +534,10 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 def _command_cache_server(args: argparse.Namespace) -> int:
     # imported here so the paper-workflow commands never pay for the server
-    from repro.cacheserver import DEFAULT_PORT, AsyncCacheServer, CacheServer
+    from repro.cacheserver import DEFAULT_PORT, AsyncCacheServer
 
     port = DEFAULT_PORT if args.port is None else args.port
-    server_class = AsyncCacheServer if args.transport == "async" else CacheServer
-    server = server_class(
+    server = AsyncCacheServer(
         host=args.host, port=port, capacity=args.capacity, policy=args.policy
     )
     bound_host, bound_port = server.address
@@ -635,7 +551,7 @@ def _command_cache_server(args: argparse.Namespace) -> int:
         advertised = server.url
     print(
         f"cache server listening on {server.url} "
-        f"({args.transport}, policy={args.policy}, "
+        f"(policy={args.policy}, "
         f"capacity={args.capacity or 'unbounded'}); "
         "point engines at it with --cache-backend remote --cache-url "
         f"{advertised}",
@@ -826,6 +742,9 @@ def _command_cache(args: argparse.Namespace) -> int:
     if args.action != "topology" and (args.join or args.leave):
         print("error: --join/--leave only apply to the topology action", file=sys.stderr)
         return 2
+    if args.metrics and (args.action != "stats" or args.cache_url is None):
+        print("error: --metrics only applies to stats with --cache-url", file=sys.stderr)
+        return 2
     if args.action == "topology" and args.cache_url is None:
         print("error: topology needs --cache-url (a fleet, not a directory)", file=sys.stderr)
         return 2
@@ -840,7 +759,7 @@ def _command_cache(args: argparse.Namespace) -> int:
         endpoints = parse_endpoints(args.cache_url)
         if args.action == "topology":
             return _cache_topology(args, endpoints)
-        if args.action == "stats" and args.metrics:
+        if args.metrics:
             # the same exposition a Prometheus scrape of each shard would see;
             # a dead shard becomes a note, not an abort mid-fan-out
             for endpoint in endpoints:

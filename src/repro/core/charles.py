@@ -176,8 +176,7 @@ class Charles:
         rounds) plus — when ``bound_pruning`` is enabled — the
         :class:`~repro.search.bounds.ScoreBoundIndex` over the pair, so
         operators can see plan size, per-round spec counts and bound
-        histograms before paying for a run (``charles plan`` /
-        ``charles summarize --plan-only``).
+        histograms before paying for a run (``charles plan``).
         """
         suggestions = self._assistant.suggest(pair, target)
         if condition_attributes is None:

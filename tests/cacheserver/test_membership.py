@@ -19,7 +19,6 @@ import pytest
 from repro.cachestore import MISSING
 from repro.cacheserver import (
     AsyncCacheServer,
-    CacheServer,
     HashRing,
     ShardedRemoteBackend,
     fleet_join,
@@ -150,12 +149,12 @@ class TestEpochOnTheWire:
 
 @pytest.fixture()
 def pair():
-    with CacheServer() as first, AsyncCacheServer() as second:
+    with AsyncCacheServer() as first, AsyncCacheServer() as second:
         yield first, second
 
 
 class TestMembershipVerbs:
-    def test_join_broadcast_reaches_both_transports(self, pair):
+    def test_join_broadcast_reaches_every_member(self, pair):
         first, second = pair
         outcome = fleet_join([first.url], second.url)
         assert outcome["epoch"] == 1
@@ -217,7 +216,7 @@ class TestMembershipVerbs:
 
 class TestJoinWarmsFromPredecessors:
     def test_newcomer_holds_exactly_the_entries_it_now_owns(self):
-        with CacheServer() as a, CacheServer() as b, AsyncCacheServer() as c:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b, AsyncCacheServer() as c:
             fabric = _fabric([a.url, b.url])
             for index in range(150):
                 fabric.put(("k", index), index, cost_hint=0.5)
@@ -237,7 +236,7 @@ class TestJoinWarmsFromPredecessors:
             fabric.close()
 
     def test_join_never_loses_an_entry(self):
-        with CacheServer() as a, CacheServer() as b, AsyncCacheServer() as c:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b, AsyncCacheServer() as c:
             fabric = _fabric([a.url, b.url], replication=2)
             for index in range(100):
                 fabric.put(("k", index), index * 3, cost_hint=0.5)
@@ -251,7 +250,7 @@ class TestJoinWarmsFromPredecessors:
             fabric.close()
 
     def test_leave_fails_over_like_a_shard_death(self):
-        with CacheServer() as a, CacheServer() as b, CacheServer() as c:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b, AsyncCacheServer() as c:
             urls = [a.url, b.url, c.url]
             fleet_join(urls[:2], c.url)  # establish an elastic 3-fleet
             fabric = _fabric(urls, replication=2)
@@ -270,7 +269,7 @@ class TestJoinWarmsFromPredecessors:
 class TestTopologyChangesNeverChangeResults:
     def test_rankings_survive_live_join_and_leave_mid_search(self, fig1_pair):
         memory = _ranking(_summarize(fig1_pair, CharlesConfig()))
-        with CacheServer() as a, CacheServer() as b, AsyncCacheServer() as c:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b, AsyncCacheServer() as c:
             config = CharlesConfig(
                 cache_backend="remote",
                 cache_url=f"{a.url},{b.url}",
@@ -310,22 +309,19 @@ class TestTopologyChangesNeverChangeResults:
             )
             assert _ranking(_summarize(fig1_pair, settled)) == memory
 
-    def test_rankings_identical_threaded_vs_asyncio_server(self, fig1_pair):
+    def test_rankings_identical_through_one_server_cold_and_warm(self, fig1_pair):
         memory = _ranking(_summarize(fig1_pair, CharlesConfig()))
-        for server_class in (CacheServer, AsyncCacheServer):
-            with server_class() as server:
-                config = CharlesConfig(
-                    cache_backend="remote", cache_url=server.url
-                )
-                cold = _summarize(fig1_pair, config)
-                warm = _summarize(fig1_pair, config)
-                assert _ranking(cold) == memory
-                assert _ranking(warm) == memory
+        with AsyncCacheServer() as server:
+            config = CharlesConfig(cache_backend="remote", cache_url=server.url)
+            cold = _summarize(fig1_pair, config)
+            warm = _summarize(fig1_pair, config)
+            assert _ranking(cold) == memory
+            assert _ranking(warm) == memory
 
 
 class TestFabricFollowsEpochs:
     def test_clients_and_counters_survive_a_refresh(self):
-        with CacheServer() as a, CacheServer() as b, CacheServer() as c:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b, AsyncCacheServer() as c:
             fabric = _fabric([a.url, b.url])
             for index in range(20):
                 fabric.put(("k", index), index)
@@ -344,7 +340,7 @@ class TestFabricFollowsEpochs:
             fabric.close()
 
     def test_replication_expands_with_the_fleet(self):
-        with CacheServer() as a, CacheServer() as b:
+        with AsyncCacheServer() as a, AsyncCacheServer() as b:
             fabric = _fabric([a.url], replication=2)
             assert fabric.replication == 1  # clamped to the fleet size
             fabric.put(("k", 1), 1)

@@ -1,12 +1,14 @@
 """Observability across the socket: trace headers, server spans, METRICS."""
 
 import os
+import socket
+import time
 
 import pytest
 
 from repro.cacheserver import (
-    CacheServer,
-    RemoteBackend,
+    AsyncCacheServer,
+    ShardedRemoteBackend,
     server_metrics,
     server_trace,
 )
@@ -30,13 +32,13 @@ def _clean_tracer():
 
 @pytest.fixture(scope="module")
 def server():
-    with CacheServer() as running:
+    with AsyncCacheServer() as running:
         yield running
 
 
 @pytest.fixture()
 def backend(server):
-    attached = RemoteBackend(server.url, protocol.REGION_FITS, namespace=os.urandom(8))
+    attached = ShardedRemoteBackend(server.url, protocol.REGION_FITS, namespace=os.urandom(8))
     yield attached
     attached.close()
 
@@ -160,3 +162,31 @@ class TestServerMetrics:
         backend.get("probe-b")
         after = parse_prometheus(server_metrics(server.url))[series]
         assert after == before + 2
+
+    def test_inflight_gauge_counts_open_connections(self):
+        def settles_at(server, expected: int) -> bool:
+            # the scrape's own connection is one of the open ones; a previous
+            # scrape's may still be closing, so poll briefly
+            deadline = time.monotonic() + 5.0
+            while True:
+                samples = parse_prometheus(server_metrics(server.url))
+                if samples["cacheserver_connections_inflight"] == expected:
+                    return True
+                if time.monotonic() > deadline:
+                    return False
+                time.sleep(0.01)
+
+        with AsyncCacheServer() as private:
+            assert settles_at(private, 1)
+            sockets = [socket.create_connection(private.address, timeout=5) for _ in range(2)]
+            try:
+                for sock in sockets:  # a round trip proves the server accepted it
+                    protocol.send_message(
+                        sock, 1, protocol.encode_request(protocol.PING, protocol.REGION_ALL)
+                    )
+                    assert protocol.recv_message(sock)[0] == 1
+                assert settles_at(private, 3)
+            finally:
+                for sock in sockets:
+                    sock.close()
+            assert settles_at(private, 1)

@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.cachestore import MISSING
-from repro.cacheserver import AsyncCacheServer, CacheServer, RemoteBackend, server_ping
+from repro.cacheserver import AsyncCacheServer, ShardedRemoteBackend, server_ping
 from repro.cacheserver import protocol
 from repro.cacheserver.pipeline import PipelinedConnection
 
@@ -23,12 +23,9 @@ from repro.cacheserver.pipeline import PipelinedConnection
 _TIMEOUT = 5.0
 
 
-# every hostile-client case runs against both transports: the asyncio server
-# must shrug off exactly the byte sequences the threaded one does
-@pytest.fixture(params=["threaded", "async"])
-def server(request):
-    server_class = CacheServer if request.param == "threaded" else AsyncCacheServer
-    with server_class() as running:
+@pytest.fixture()
+def server():
+    with AsyncCacheServer() as running:
         yield running
 
 
@@ -152,7 +149,7 @@ class TestServerAgainstHostileClients:
         attacker = threading.Thread(target=spray, daemon=True)
         attacker.start()
         try:
-            backend = RemoteBackend(server.url, namespace=b"fuzz-bystander")
+            backend = ShardedRemoteBackend(server.url, namespace=b"fuzz-bystander")
             for index in range(50):
                 backend.put(("k", index), index)
                 assert backend.get(("k", index)) == index
@@ -232,7 +229,7 @@ class TestClientAgainstHostileServers:
     def test_backend_degrades_to_miss_on_garbage_responses(self):
         evil = _EvilServer(b"\x00" * 16, close_after=False)
         try:
-            backend = RemoteBackend(evil.url)
+            backend = ShardedRemoteBackend(evil.url)
             assert backend.get("k") is MISSING  # garbage → degraded, not raised
             assert backend.connection_failures >= 1
             backend.close()

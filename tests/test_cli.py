@@ -292,9 +292,9 @@ class TestTimelineCommand:
 class TestCacheCommands:
     @pytest.fixture()
     def server(self):
-        from repro.cacheserver import CacheServer
+        from repro.cacheserver import AsyncCacheServer
 
-        with CacheServer() as running:
+        with AsyncCacheServer() as running:
             yield running
 
     def test_summarize_against_cache_server_matches_memory(self, example_csvs, server, capsys):
@@ -333,13 +333,13 @@ class TestCacheCommands:
         assert cleared["regions"]["partitions"]["entries"] == 0
 
     def test_summarize_against_a_sharded_fleet_matches_memory(self, example_csvs, capsys):
-        from repro.cacheserver import CacheServer
+        from repro.cacheserver import AsyncCacheServer
 
         source, target = example_csvs
         argv = ["summarize", str(source), str(target), "--key", "name", "--target", "bonus"]
         assert main(argv) == 0
         memory_output = capsys.readouterr().out
-        shards = [CacheServer().start() for _ in range(2)]
+        shards = [AsyncCacheServer().start() for _ in range(2)]
         try:
             url = ",".join(shard.url for shard in shards)
             sharded_argv = argv + [
@@ -354,10 +354,10 @@ class TestCacheCommands:
                 shard.shutdown()
 
     def test_cache_stats_and_clear_fan_out_across_shards(self, example_csvs, capsys):
-        from repro.cacheserver import CacheServer
+        from repro.cacheserver import AsyncCacheServer
 
         source, target = example_csvs
-        shards = [CacheServer().start() for _ in range(2)]
+        shards = [AsyncCacheServer().start() for _ in range(2)]
         try:
             url = ",".join(shard.url for shard in shards)
             assert main([
@@ -409,6 +409,28 @@ class TestCacheCommands:
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
         assert "0 entries" in capsys.readouterr().out
 
+    def test_metrics_only_applies_to_stats_against_a_server(self, example_csvs, tmp_path, capsys):
+        source, target = example_csvs
+        cache_dir = tmp_path / "cache"
+        assert main([
+            "summarize", str(source), str(target), "--key", "name", "--target", "bonus",
+            "--cache-backend", "disk", "--cache-dir", str(cache_dir),
+        ]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["cache", "stats", "--cache-dir", str(cache_dir), "--metrics"],
+            ["cache", "clear", "--cache-dir", str(cache_dir), "--metrics"],
+            ["cache", "clear", "--cache-url", "127.0.0.1:9", "--metrics"],
+            ["cache", "topology", "--cache-url", "127.0.0.1:9", "--metrics"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "--metrics only applies to stats with --cache-url" in captured.err
+            assert captured.out == ""
+        # the rejected clear left the store alone
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        assert "0 entries" not in capsys.readouterr().out
+
     def test_cache_requires_exactly_one_store(self, tmp_path, capsys):
         assert main(["cache", "stats"]) == 2
         assert "exactly one" in capsys.readouterr().err
@@ -458,17 +480,22 @@ class TestPlanCommand:
         output = capsys.readouterr().out
         assert "bound pruning disabled" in output
 
-    def test_summarize_plan_only_short_circuits(self, example_csvs, capsys):
+    def test_plan_prints_the_dry_run_of_the_matching_summarize(self, example_csvs, capsys):
+        # the dry run reads only the search flags, so `plan` with them shows
+        # exactly what `summarize` with the same flags would execute
+        from repro.cli import _load_pair, _render_plan, _search_config
+        from repro.core.charles import Charles
+
         source, target = example_csvs
-        code = main([
-            "summarize", str(source), str(target), "--key", "name",
-            "--target", "bonus", "--plan-only",
-        ])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "search plan:" in output
-        # no summaries were ranked or printed
-        assert "#1" not in output
+        flags = [str(source), str(target), "--key", "name", "--target", "bonus",
+                 "--alpha", "0.6", "-c", "2", "--top", "3"]
+        assert main(["plan", *flags]) == 0
+        printed = capsys.readouterr().out
+        summarize_args = build_parser().parse_args(["summarize", *flags, "--jobs", "2"])
+        plan, index = Charles(_search_config(summarize_args)).plan_pair(
+            _load_pair(summarize_args), "bonus"
+        )
+        assert printed == _render_plan(plan, index) + "\n"
 
     def test_summarize_accepts_planning_flags(self, example_csvs, capsys):
         source, target = example_csvs
@@ -513,9 +540,9 @@ class TestDeadShardStats:
         return f"127.0.0.1:{port}"
 
     def test_stats_fanout_survives_a_dead_shard(self, dead_endpoint, capsys):
-        from repro.cacheserver import CacheServer
+        from repro.cacheserver import AsyncCacheServer
 
-        with CacheServer() as live:
+        with AsyncCacheServer() as live:
             code = main([
                 "cache", "stats", "--cache-url", f"{live.url},{dead_endpoint}"
             ])
@@ -529,9 +556,9 @@ class TestDeadShardStats:
         assert "TOTAL (1 shard DOWN)" in output
 
     def test_metrics_fanout_notes_the_dead_shard(self, dead_endpoint, capsys):
-        from repro.cacheserver import CacheServer
+        from repro.cacheserver import AsyncCacheServer
 
-        with CacheServer() as live:
+        with AsyncCacheServer() as live:
             code = main([
                 "cache", "stats", "--metrics",
                 "--cache-url", f"{live.url},{dead_endpoint}",
